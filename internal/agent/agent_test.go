@@ -126,9 +126,162 @@ func TestMatcherFuzzy(t *testing.T) {
 
 func TestFuzzyDisabled(t *testing.T) {
 	m := NewMatcher(nil)
+	const typo = "Mozilla/5.0 (compatible; Googelbot/2.1)"
+	if got := m.Name(typo); got != "Googlebot" {
+		t.Fatalf("fuzzy Name(%q) = %q, want Googlebot", typo, got)
+	}
+	// The threshold is read on every call, not frozen into the compiled
+	// registry by the first one.
 	m.FuzzyThreshold = 0
-	if _, ok := m.Match("Mozilla/5.0 (compatible; Googelbot/2.1)"); ok {
+	if _, ok := m.Match(typo); ok {
 		t.Error("fuzzy matching should be off when threshold is zero")
+	}
+}
+
+// TestRegistryAddAfterMatch checks that a registry change made after the
+// matcher has compiled its index takes effect on the next call, both for a
+// new token and for a token whose owner changes.
+func TestRegistryAddAfterMatch(t *testing.T) {
+	m := NewMatcher(nil)
+	if _, ok := m.Match("FooCrawler/1.0"); ok {
+		t.Fatal("FooCrawler matched before it was registered")
+	}
+	m.Registry().Add(&Bot{Name: "FooCrawler", Sponsor: "x", Category: CategoryScraper, Tokens: []string{"FooCrawler"}})
+	if got := m.Name("FooCrawler/1.0"); got != "FooCrawler" {
+		t.Errorf("after Add, Name = %q, want FooCrawler", got)
+	}
+	m.Registry().Add(&Bot{Name: "NotGoogle", Sponsor: "x", Category: CategoryScraper, Tokens: []string{"googlebot"}})
+	if got := m.Name("Googlebot/2.1"); got != "NotGoogle" {
+		t.Errorf("after an overriding Add, Name = %q, want NotGoogle", got)
+	}
+}
+
+// TestMatchAllocs pins the compiled matcher's allocation-free hot path: an
+// ASCII UA allocates nothing, whether it hits a token, hits fuzzily or
+// misses both stages.
+func TestMatchAllocs(t *testing.T) {
+	m := NewMatcher(nil)
+	for _, ua := range []string{
+		"Mozilla/5.0 (compatible; Googlebot/2.1; +http://www.google.com/bot.html)",
+		"Mozilla/5.0 (compatible; Googelbot/2.1)",
+		"Mozilla/5.0 (Windows NT 10.0; Win64; x64) AppleWebKit/537.36 (KHTML, like Gecko) Chrome/120.0 Safari/537.36 Build/3.7.122",
+		"  CompletelyNovelAgent/9.9  ",
+	} {
+		m.Match(ua) // compile the index
+		if avg := testing.AllocsPerRun(100, func() { m.Match(ua) }); avg != 0 {
+			t.Errorf("Match(%q) allocates %.1f times per call, want 0", ua, avg)
+		}
+	}
+}
+
+// TestTieOrderSubstring builds a UA from every pair of equal-length
+// registry tokens, in both orders, and requires every fresh matcher to give
+// the one verdict the tie order names: the token registered first, unless
+// the UA also holds a longer token.
+func TestTieOrderSubstring(t *testing.T) {
+	reg := DefaultRegistry()
+	type tie struct{ ua, want string }
+	var ties []tie
+	pairs := 0
+	for i, a := range reg.tokens {
+		for _, b := range reg.tokens[i+1:] {
+			if len(a) != len(b) {
+				continue
+			}
+			pairs++
+			for _, ua := range []string{
+				"Mozilla/5.0 (compatible; " + a + "/1.0; " + b + "/2.0)",
+				"Mozilla/5.0 (compatible; " + b + "/1.0; " + a + "/2.0)",
+			} {
+				want, wantLen := reg.byToken[a].Name, len(a)
+				for _, c := range reg.tokens {
+					if len(c) > wantLen && strings.Contains(strings.ToLower(ua), c) {
+						want, wantLen = reg.byToken[c].Name, len(c)
+					}
+				}
+				ties = append(ties, tie{ua, want})
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("the default registry has no equal-length token pairs")
+	}
+	t.Logf("%d equal-length token pairs", pairs)
+	for k := 0; k < 50; k++ {
+		m := NewMatcher(nil)
+		for _, c := range ties {
+			if got := m.Name(c.ua); got != c.want {
+				t.Fatalf("matcher %d: Name(%q) = %q, want %q", k, c.ua, got, c.want)
+			}
+		}
+	}
+}
+
+// TestTieOrderFuzzy requires fuzzy ties to resolve by the tie order on
+// every fresh matcher: lowest distance, then the earliest candidate in the
+// UA, then the token registered first. The single-candidate ties are found
+// by brute force over one-edit variants of the default tokens; the
+// custom registry makes a tie at distance 1 in both registration orders.
+func TestTieOrderFuzzy(t *testing.T) {
+	reg := DefaultRegistry()
+	type tie struct{ ua, want string }
+	var ties []tie
+	for _, tok := range reg.tokens {
+		for p := 0; p+1 < len(tok); p++ {
+			for _, v := range []string{
+				tok[:p] + tok[p+1:],                             // deletion
+				tok[:p] + tok[p+1:p+2] + tok[p:p+1] + tok[p+2:], // transposition
+			} {
+				ua := "Mozilla/5.0 (compatible; " + v + "/1.0)"
+				if cands := referenceTokens(v); len(cands) != 1 || cands[0] != v || len(v) < 4 {
+					continue // v must be the UA's only fuzzy candidate
+				}
+				if _, hit := referenceMatch(reg, 0, ua); hit {
+					continue
+				}
+				best, bestDist, tied := "", 1<<30, 0
+				for _, c := range reg.tokens {
+					budget := int(0.2 * float64(len(c)))
+					if len(c) < 4 || budget == 0 {
+						continue
+					}
+					switch d := referenceDL(v, c, budget); {
+					case d < 0:
+					case d < bestDist:
+						best, bestDist, tied = reg.byToken[c].Name, d, 1
+					case d == bestDist:
+						tied++
+					}
+				}
+				if tied > 1 {
+					ties = append(ties, tie{ua, best})
+				}
+			}
+		}
+	}
+	t.Logf("%d single-candidate fuzzy ties in the default registry", len(ties))
+	ties = append(ties,
+		tie{"Mozilla/5.0 (compatible; Googelbot/2.1; Bingbto/2.0)", "Googlebot"},
+		tie{"Mozilla/5.0 (compatible; Bingbto/2.0; Googelbot/2.1)", "bingbot"},
+	)
+	for k := 0; k < 50; k++ {
+		m := NewMatcher(nil)
+		for _, c := range ties {
+			if got := m.Name(c.ua); got != c.want {
+				t.Fatalf("matcher %d: Name(%q) = %q, want %q", k, c.ua, got, c.want)
+			}
+		}
+	}
+
+	alpha := &Bot{Name: "alphabot", Tokens: []string{"alphabot"}}
+	cat := &Bot{Name: "alphacat", Tokens: []string{"alphacat"}}
+	for _, order := range [][]*Bot{{alpha, cat}, {cat, alpha}} {
+		for k := 0; k < 50; k++ {
+			m := NewMatcher(NewRegistry(order))
+			if got := m.Name("Alphacot/1.0"); got != order[0].Name {
+				t.Fatalf("registration order %s first: Name = %q", order[0].Name, got)
+			}
+		}
 	}
 }
 

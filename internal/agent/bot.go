@@ -37,6 +37,12 @@ type Registry struct {
 	bots    []*Bot
 	byToken map[string]*Bot
 	byName  map[string]*Bot
+	// tokens lists every key of byToken once, in the order it was first
+	// registered. It is the matcher's tie order ("registry order").
+	tokens []string
+	// gen counts Add calls, so a Matcher can tell that its compiled index
+	// is stale.
+	gen uint64
 }
 
 // NewRegistry builds a registry from the given bots. Later bots win token
@@ -45,6 +51,7 @@ func NewRegistry(bots []*Bot) *Registry {
 	r := &Registry{
 		byToken: make(map[string]*Bot, len(bots)*2),
 		byName:  make(map[string]*Bot, len(bots)),
+		tokens:  make([]string, 0, len(bots)*2),
 	}
 	for _, b := range bots {
 		r.Add(b)
@@ -53,6 +60,8 @@ func NewRegistry(bots []*Bot) *Registry {
 }
 
 // Add registers a bot, overriding any previous bot with colliding tokens.
+// A token keeps the registry-order position of its first registration; only
+// its owner changes.
 func (r *Registry) Add(b *Bot) {
 	if r.byToken == nil {
 		r.byToken = make(map[string]*Bot)
@@ -61,8 +70,13 @@ func (r *Registry) Add(b *Bot) {
 	r.bots = append(r.bots, b)
 	r.byName[strings.ToLower(b.Name)] = b
 	for _, t := range b.Tokens {
-		r.byToken[strings.ToLower(t)] = b
+		t = strings.ToLower(t)
+		if _, seen := r.byToken[t]; !seen {
+			r.tokens = append(r.tokens, t)
+		}
+		r.byToken[t] = b
 	}
+	r.gen++
 }
 
 // Len returns the number of registered bots.

@@ -7,10 +7,10 @@ import (
 
 // CachedMatcher memoizes Match results by exact raw User-Agent string. A
 // production log stream repeats a few thousand distinct user agents across
-// millions of records, while a single Match pays a registry token scan
-// (and possibly a fuzzy pass) plus a case-folding allocation — so the
-// streaming enrichment path caches the verdicts. Matching is a pure
-// function of the UA string, so caching never changes results.
+// millions of records, while a single Match pays an automaton pass over
+// the UA and, on a miss, a fuzzy pass — so the streaming enrichment path
+// caches the verdicts. Matching is a pure function of the UA string (ties
+// follow the Matcher's total order), so caching never changes results.
 //
 // CachedMatcher is safe for concurrent use; the streaming pipeline's shard
 // workers share one. Growth is capped: past MaxEntries new verdicts are

@@ -2,6 +2,7 @@ package agent
 
 import (
 	"strings"
+	"sync/atomic"
 )
 
 // Matcher standardizes raw User-Agent header values to canonical bots.
@@ -9,13 +10,23 @@ import (
 // matching against a known-useragents dataset, then fuzzy string matching to
 // absorb version drift and minor misspellings.
 //
-// A Matcher is safe for concurrent use once built.
+// Ties are broken by a total order, so a verdict is a pure function of the
+// UA, the registry and FuzzyThreshold: the longest contained token wins,
+// then the token registered first; in the fuzzy stage the lowest distance
+// wins, then the earliest candidate in the UA, then registry order.
+//
+// A Matcher is safe for concurrent use once built, as long as its registry
+// is not modified concurrently with Match.
 type Matcher struct {
 	reg *Registry
 	// FuzzyThreshold is the maximum Damerau-Levenshtein distance (as a
 	// fraction of token length) tolerated by the fuzzy stage. Zero disables
 	// fuzzy matching. The default 0.2 allows ~1 edit per 5 characters.
 	FuzzyThreshold float64
+	// idx is the registry compiled for matching. It is built by the first
+	// Match rather than by NewMatcher, and rebuilt when the registry's
+	// generation moves past it.
+	idx atomic.Pointer[index]
 }
 
 // NewMatcher builds a matcher over the given registry. A nil registry uses
@@ -32,37 +43,48 @@ func (m *Matcher) Registry() *Registry { return m.reg }
 
 // Match resolves a raw User-Agent header to a known bot. The second return
 // is false when no known bot matches (an "anonymous" agent in the paper's
-// terms).
+// terms). It allocates nothing for an ASCII User-Agent.
 func (m *Matcher) Match(userAgent string) (*Bot, bool) {
-	ua := strings.ToLower(strings.TrimSpace(userAgent))
+	ix := m.index()
+	ua, ok := trimASCII(userAgent)
+	if !ok {
+		// Unicode case mapping is not byte folding: the Kelvin sign lowers
+		// to an ASCII 'k' and 'İ' to "i̇", and a non-ASCII space may be
+		// trimmed. Lowering a copy keeps such input exact; the stages below
+		// read it like an ASCII UA, since lowered bytes fold to themselves.
+		ua = strings.ToLower(strings.TrimSpace(userAgent))
+	}
 	if ua == "" {
 		return nil, false
 	}
 
 	// Stage 1: substring scan for known tokens. Longest token wins so that
 	// "googlebot-image" is preferred over "googlebot" when both occur.
-	var (
-		best    *Bot
-		bestLen int
-	)
-	for token, bot := range m.reg.byToken {
-		if len(token) > bestLen && strings.Contains(ua, token) {
-			best, bestLen = bot, len(token)
-		}
-	}
-	if best != nil {
-		return best, true
+	if t := ix.longest(ua); t >= 0 {
+		return ix.toks[t].bot, true
 	}
 
 	// Stage 2: fuzzy comparison of the UA's product tokens against known
 	// tokens, absorbing typos like "googelbot" or vendor renames with
 	// punctuation drift.
-	if m.FuzzyThreshold > 0 {
-		if bot := m.fuzzyMatch(ua); bot != nil {
-			return bot, true
+	if th := m.FuzzyThreshold; th > 0 {
+		if t := ix.nearest(ua, th); t >= 0 {
+			return ix.toks[t].bot, true
 		}
 	}
 	return nil, false
+}
+
+// index returns the compiled registry, compiling it if the registry has
+// changed since. Concurrent first calls may each compile; they build the
+// same index, and the last store wins.
+func (m *Matcher) index() *index {
+	ix := m.idx.Load()
+	if ix == nil || ix.gen != m.reg.gen {
+		ix = compile(m.reg)
+		m.idx.Store(ix)
+	}
+	return ix
 }
 
 // Name returns the canonical bot name for a raw UA, or the empty string.
@@ -81,70 +103,55 @@ func (m *Matcher) CategoryOf(userAgent string) Category {
 	return CategoryUnknown
 }
 
-// fuzzyMatch extracts candidate tokens from the UA and finds the known token
-// with the smallest Damerau-Levenshtein distance within the threshold.
-func (m *Matcher) fuzzyMatch(ua string) *Bot {
-	candidates := extractTokens(ua)
-	var (
-		best     *Bot
-		bestDist = 1 << 30
-	)
-	for _, cand := range candidates {
-		if len(cand) < 4 {
-			continue // too short to fuzzy-match safely
-		}
-		for token, bot := range m.reg.byToken {
-			if len(token) < 4 {
-				continue
-			}
-			maxDist := int(m.FuzzyThreshold * float64(len(token)))
-			if maxDist == 0 {
-				continue
-			}
-			// Cheap length filter before computing the full distance.
-			if abs(len(cand)-len(token)) > maxDist {
-				continue
-			}
-			d := damerauLevenshtein(cand, token, maxDist)
-			if d >= 0 && d <= maxDist && d < bestDist {
-				best, bestDist = bot, d
-				if d == 1 {
-					return best // cannot do better than a single edit
-				}
-			}
+// trimASCII returns s without leading and trailing ASCII white space, which
+// is what strings.TrimSpace removes from an ASCII string. ok is false when s
+// holds a byte of 0x80 or above.
+func trimASCII(s string) (string, bool) {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return "", false
 		}
 	}
-	return best
-}
-
-// extractTokens splits a UA string into candidate product tokens: maximal
-// runs of [a-z0-9._-] with any trailing "/version" removed.
-func extractTokens(ua string) []string {
-	var out []string
-	i := 0
-	for i < len(ua) {
-		for i < len(ua) && !isTokenByte(ua[i]) {
-			i++
-		}
-		start := i
-		for i < len(ua) && isTokenByte(ua[i]) {
-			i++
-		}
-		if tok := ua[start:i]; tok != "" && !genericToken(tok) {
-			out = append(out, tok)
-		}
+	lo, hi := 0, len(s)
+	for lo < hi && asciiSpace(s[lo]) {
+		lo++
 	}
-	return out
+	for hi > lo && asciiSpace(s[hi-1]) {
+		hi--
+	}
+	return s[lo:hi], true
 }
 
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// lower folds an ASCII upper-case letter to lower case.
+func lower(c byte) byte {
+	if c >= 'A' && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// isTokenByte reports whether c, case-folded, belongs to a product token:
+// [a-z0-9._-].
 func isTokenByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '-' || c == '_' || c == '.'
+	l := c | 0x20
+	return l >= 'a' && l <= 'z' || c >= '0' && c <= '9' || c == '-' || c == '_' || c == '.'
 }
 
-// genericToken reports whether the token is browser boilerplate that must
-// never fuzzy-match a bot name.
+// genericToken reports whether the token, ignoring ASCII case, is browser
+// boilerplate that must never fuzzy-match a bot name.
 func genericToken(t string) bool {
-	switch t {
+	var buf [len("applewebkit")]byte // the longest generic token
+	if len(t) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(t); i++ {
+		buf[i] = lower(t[i])
+	}
+	switch string(buf[:len(t)]) {
 	case "mozilla", "applewebkit", "khtml", "like", "gecko", "chrome",
 		"safari", "compatible", "windows", "linux", "macintosh", "x11",
 		"intel", "mac", "os", "x", "nt", "win64", "x64", "wow64", "version",
@@ -159,66 +166,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// damerauLevenshtein computes the optimal-string-alignment distance between
-// a and b, abandoning early (returning -1) when the distance necessarily
-// exceeds maxDist. This is the restricted Damerau-Levenshtein variant
-// (adjacent transpositions, no substring moves), which is what fuzzy UA
-// matching needs.
-func damerauLevenshtein(a, b string, maxDist int) int {
-	la, lb := len(a), len(b)
-	if abs(la-lb) > maxDist {
-		return -1
-	}
-	// Three rolling rows: two-back (for transpositions), previous, current.
-	prev2 := make([]int, lb+1)
-	prev := make([]int, lb+1)
-	cur := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		cur[0] = i
-		rowMin := cur[0]
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			v := min3(
-				prev[j]+1,      // deletion
-				cur[j-1]+1,     // insertion
-				prev[j-1]+cost, // substitution
-			)
-			if i > 1 && j > 1 && a[i-1] == b[j-2] && a[i-2] == b[j-1] {
-				if t := prev2[j-2] + 1; t < v {
-					v = t // transposition
-				}
-			}
-			cur[j] = v
-			if v < rowMin {
-				rowMin = v
-			}
-		}
-		if rowMin > maxDist {
-			return -1 // every cell already exceeds the budget
-		}
-		prev2, prev, cur = prev, cur, prev2
-	}
-	d := prev[lb]
-	if d > maxDist {
-		return -1
-	}
-	return d
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
 }

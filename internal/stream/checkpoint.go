@@ -219,8 +219,8 @@ func (p *Pipeline) capture() (*PipelineCheckpoint, error) {
 		s.mu.Lock()
 		sc := ShardCheckpoint{
 			States:   make([][]byte, len(s.states)),
-			HeapRecs: make([]weblog.Record, len(s.buf)),
-			HeapSeqs: make([]uint64, len(s.buf)),
+			HeapRecs: make([]weblog.Record, s.buf.len()),
+			HeapSeqs: make([]uint64, s.buf.len()),
 			MaxSeen:  s.maxSeen,
 			StampWM:  s.stampWM,
 			Records:  s.records,
@@ -232,9 +232,9 @@ func (p *Pipeline) capture() (*PipelineCheckpoint, error) {
 				return nil, err
 			}
 		}
-		for i, sr := range s.buf {
-			sc.HeapRecs[i] = sr.rec
-			sc.HeapSeqs[i] = sr.seq
+		for i := range sc.HeapRecs {
+			rec, seq := s.buf.at(i)
+			sc.HeapRecs[i], sc.HeapSeqs[i] = *rec, seq
 		}
 		s.mu.Unlock()
 		ck.ShardStates = append(ck.ShardStates, sc)
@@ -312,7 +312,7 @@ func (p *Pipeline) RestoreCheckpoint(ck *PipelineCheckpoint) error {
 			return fmt.Errorf("stream: RestoreCheckpoint: shard %d heap has %d records but %d seqs", si, len(sc.HeapRecs), len(sc.HeapSeqs))
 		}
 		s.mu.Lock()
-		if s.records != 0 || len(s.buf) != 0 {
+		if s.records != 0 || s.buf.len() != 0 {
 			s.mu.Unlock()
 			return fmt.Errorf("stream: RestoreCheckpoint: pipeline has already ingested records")
 		}
@@ -331,9 +331,9 @@ func (p *Pipeline) RestoreCheckpoint(ck *PipelineCheckpoint) error {
 		}
 		// The captured heap array is a valid heap layout; restore it
 		// verbatim rather than re-pushing element by element.
-		s.buf = make(recHeap, len(sc.HeapRecs))
+		s.buf = recHeap{}
 		for i := range sc.HeapRecs {
-			s.buf[i] = seqRec{rec: sc.HeapRecs[i], seq: sc.HeapSeqs[i]}
+			s.buf.add(&sc.HeapRecs[i], sc.HeapSeqs[i])
 		}
 		s.maxSeen = sc.MaxSeen
 		s.stampWM = sc.StampWM

@@ -56,7 +56,8 @@ type Options struct {
 	// count in DroppedRecords). It runs on the dispatcher goroutine, so an
 	// unsynchronized weblog.Preprocessor.Keep is safe here. A fan-in run
 	// (RunSources) shares it across every source goroutine unless NewKeep
-	// is set, in which case it must be safe for concurrent use.
+	// is set, in which case it must be safe for concurrent use. The
+	// record pointer is valid only for the call.
 	Keep func(*weblog.Record) bool
 	// NewKeep, if non-nil, supplies each RunSources source goroutine its
 	// own filter instance, so unsynchronized filters (a fresh
@@ -117,12 +118,6 @@ const DefaultBatchSize = 256
 // live snapshots.
 const DefaultFlushInterval = 200 * time.Millisecond
 
-// seqRec is a record stamped with its global ingest sequence number.
-type seqRec struct {
-	rec weblog.Record
-	seq uint64
-}
-
 // recordBatch is the pooled unit of work on the shard channels: parallel
 // record/sequence slices filled by the dispatcher and recycled by the
 // worker after the fold. Recycling is what makes the steady-state hot path
@@ -150,37 +145,111 @@ type recordBatch struct {
 // used as each shard's reorder buffer. It is hand-rolled rather than
 // container/heap because the interface-based API boxes every pushed and
 // popped element — two heap allocations per record on the hot path.
-type recHeap []seqRec
-
-func (h recHeap) less(i, j int) bool {
-	if !h[i].rec.Time.Equal(h[j].rec.Time) {
-		return h[i].rec.Time.Before(h[j].rec.Time)
-	}
-	return h[i].seq < h[j].seq
+//
+// The heap array holds 24-byte keys without pointers; the records sit in a
+// slab of fixed-size chunks, addressed by the key's slot. So a sift step
+// swaps two small keys and never a record with its eight string headers
+// (no copy of 176 bytes, no GC write barriers), growing the heap never
+// copies records, and the GC does not scan the heap array.
+type recHeap struct {
+	keys  []heapKey
+	slab  [][]weblog.Record // chunks of slabChunk records, never moved
+	free  []uint32          // vacated slots
+	slots uint32            // slots handed out so far
+	// byTime is set once a record whose instant the key cannot order
+	// exactly has been pushed: from then on comparisons read the records'
+	// times, as time.Time orders them.
+	byTime bool
 }
 
-// push adds sr to the heap.
-func (h *recHeap) push(sr seqRec) {
-	*h = append(*h, sr)
-	i := len(*h) - 1
+// heapKey is one buffered record's place in the heap: its instant as
+// seconds and nanoseconds since the Unix epoch, its sequence number, and
+// its slab slot. For a time without a monotonic clock reading and with
+// |Unix()| < 2^62, (sec, nsec) order is exactly Time.Before/Equal order.
+type heapKey struct {
+	sec  int64
+	nsec int32
+	slot uint32
+	seq  uint64
+}
+
+// slabChunk is the number of records in one slab chunk.
+const slabChunk = 1024
+
+func (h *recHeap) len() int { return len(h.keys) }
+
+// at returns the record and sequence number at heap position i.
+func (h *recHeap) at(i int) (*weblog.Record, uint64) {
+	k := h.keys[i]
+	return h.rec(k.slot), k.seq
+}
+
+func (h *recHeap) rec(slot uint32) *weblog.Record {
+	return &h.slab[slot/slabChunk][slot%slabChunk]
+}
+
+func (h *recHeap) less(i, j int) bool {
+	a, b := &h.keys[i], &h.keys[j]
+	if h.byTime {
+		ta, tb := h.rec(a.slot).Time, h.rec(b.slot).Time
+		if !ta.Equal(tb) {
+			return ta.Before(tb)
+		}
+		return a.seq < b.seq
+	}
+	if a.sec != b.sec {
+		return a.sec < b.sec
+	}
+	if a.nsec != b.nsec {
+		return a.nsec < b.nsec
+	}
+	return a.seq < b.seq
+}
+
+// add stores a copy of rec and appends its key at the end of the heap
+// array without restoring the heap order.
+func (h *recHeap) add(rec *weblog.Record, seq uint64) {
+	var slot uint32
+	if n := len(h.free); n > 0 {
+		slot, h.free = h.free[n-1], h.free[:n-1]
+	} else {
+		if h.slots == uint32(len(h.slab))*slabChunk {
+			h.slab = append(h.slab, make([]weblog.Record, slabChunk))
+		}
+		slot = h.slots
+		h.slots++
+	}
+	*h.rec(slot) = *rec
+	t := rec.Time
+	sec := t.Unix()
+	if sec <= -1<<62 || sec >= 1<<62 || t != t.Round(0) {
+		// Out of the range where Unix() cannot wrap, or carrying a
+		// monotonic reading, which Before and Equal prefer.
+		h.byTime = true
+	}
+	h.keys = append(h.keys, heapKey{sec: sec, nsec: int32(t.Nanosecond()), slot: slot, seq: seq})
+}
+
+// push adds a copy of rec with sequence number seq to the heap.
+func (h *recHeap) push(rec *weblog.Record, seq uint64) {
+	h.add(rec, seq)
+	i := len(h.keys) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
+		if !h.less(i, parent) {
 			break
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
+		h.keys[i], h.keys[parent] = h.keys[parent], h.keys[i]
 		i = parent
 	}
 }
 
-// pop removes and returns the minimum element.
-func (h *recHeap) pop() seqRec {
-	old := *h
-	n := len(old)
-	top := old[0]
-	old[0] = old[n-1]
-	old[n-1] = seqRec{} // release the Record's strings to the GC
-	*h = old[:n-1]
+// pop removes and returns the minimum record and its sequence number.
+func (h *recHeap) pop() (weblog.Record, uint64) {
+	n := len(h.keys)
+	top := h.keys[0]
+	h.keys[0] = h.keys[n-1]
+	h.keys = h.keys[:n-1]
 	// Sift down.
 	i, end := 0, n-1
 	for {
@@ -189,16 +258,20 @@ func (h *recHeap) pop() seqRec {
 			break
 		}
 		child := left
-		if right := left + 1; right < end && old.less(right, left) {
+		if right := left + 1; right < end && h.less(right, left) {
 			child = right
 		}
-		if !old.less(child, i) {
+		if !h.less(child, i) {
 			break
 		}
-		old[i], old[child] = old[child], old[i]
+		h.keys[i], h.keys[child] = h.keys[child], h.keys[i]
 		i = child
 	}
-	return top
+	r := h.rec(top.slot)
+	rec := *r
+	*r = weblog.Record{} // release the Record's strings to the GC
+	h.free = append(h.free, top.slot)
+	return rec, top.seq
 }
 
 // applyBatchFn folds one run of records (with their global sequence
@@ -277,8 +350,9 @@ func (s *shardWorker) release(watermark time.Time, strict bool) {
 	}
 	s.runRecs = s.runRecs[:0]
 	s.runSeqs = s.runSeqs[:0]
-	for len(s.buf) > 0 {
-		t := s.buf[0].rec.Time
+	for s.buf.len() > 0 {
+		first, _ := s.buf.at(0)
+		t := first.Time
 		if strict {
 			if !t.Before(watermark) {
 				break
@@ -286,9 +360,9 @@ func (s *shardWorker) release(watermark time.Time, strict bool) {
 		} else if t.After(watermark) {
 			break
 		}
-		sr := s.buf.pop()
-		s.runRecs = append(s.runRecs, sr.rec)
-		s.runSeqs = append(s.runSeqs, sr.seq)
+		rec, seq := s.buf.pop()
+		s.runRecs = append(s.runRecs, rec)
+		s.runSeqs = append(s.runSeqs, seq)
 	}
 	s.fold(s.runRecs, s.runSeqs)
 	if s.poison {
@@ -304,10 +378,10 @@ func (s *shardWorker) release(watermark time.Time, strict bool) {
 func (s *shardWorker) releaseAll() {
 	s.runRecs = s.runRecs[:0]
 	s.runSeqs = s.runSeqs[:0]
-	for len(s.buf) > 0 {
-		sr := s.buf.pop()
-		s.runRecs = append(s.runRecs, sr.rec)
-		s.runSeqs = append(s.runSeqs, sr.seq)
+	for s.buf.len() > 0 {
+		rec, seq := s.buf.pop()
+		s.runRecs = append(s.runRecs, rec)
+		s.runSeqs = append(s.runSeqs, seq)
 	}
 	s.fold(s.runRecs, s.runSeqs)
 	if s.poison {
@@ -463,7 +537,7 @@ func (p *Pipeline) work(idx int, s *shardWorker) {
 			// published a promise (stampWM still at the noStampMark
 			// floor) nothing may release at all.
 			for i := range b.recs {
-				s.buf.push(seqRec{rec: b.recs[i], seq: b.seqs[i]})
+				s.buf.push(&b.recs[i], b.seqs[i])
 			}
 			if b.mark > s.stampWM {
 				s.stampWM = b.mark
@@ -481,7 +555,7 @@ func (p *Pipeline) work(idx int, s *shardWorker) {
 				if b.recs[i].Time.After(s.maxSeen) {
 					s.maxSeen = b.recs[i].Time
 				}
-				s.buf.push(seqRec{rec: b.recs[i], seq: b.seqs[i]})
+				s.buf.push(&b.recs[i], b.seqs[i])
 			}
 			watermark := s.maxSeen.Add(-skew)
 			s.release(watermark, false)
@@ -491,7 +565,7 @@ func (p *Pipeline) work(idx int, s *shardWorker) {
 			advanced, didAdvance = watermark, true
 		}
 		if s.mDepth != nil {
-			s.mDepth.Set(int64(len(s.buf)))
+			s.mDepth.Set(int64(s.buf.len()))
 			if didAdvance {
 				s.mWM.Set(markNano(advanced))
 			}

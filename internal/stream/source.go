@@ -450,13 +450,18 @@ func (r *sourceRunner) leaveGate(runErr error) {
 // sequence numbers, batch per shard, and dispatch with min-watermark
 // stamps until EOF, error, or cancellation.
 func (r *sourceRunner) run(ctx context.Context) error {
+	// One record variable for the whole loop: the filter takes its
+	// address, which would otherwise move a fresh record to the heap for
+	// every line decoded.
+	var rec weblog.Record
 	for {
 		if r.p.gate.want.Load() {
 			if err := r.park(ctx); err != nil {
 				return err
 			}
 		}
-		rec, err := r.src.Dec.Next()
+		var err error
+		rec, err = r.src.Dec.Next()
 		if err == io.EOF {
 			if ferr := r.flushAll(ctx); ferr != nil {
 				return ferr
